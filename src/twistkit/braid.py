@@ -9,9 +9,16 @@ Every braid has a unique left normal form delta^p A_1 ... A_k where delta is
 the positive half twist, each A_i is a permutation braid other than the
 identity or delta, and consecutive factors are left weighted: every letter
 that can start A_{i+1} can also end A_i.  Normal forms are computed by
-rewriting inverse letters as delta^-1 times a positive complement and then
-running local left-weighting sweeps over the factor sequence; equality of
-braids, and equality modulo the center <delta^2>, reduce to comparing forms.
+rewriting inverse letters as delta^-1 times a positive complement, then
+appending the resulting simple factors one at a time to a left-weighted
+sequence.  Each append runs one right-to-left pass that left-weights the
+adjacent pairs and stops at the first pair that does not change (Epstein et
+al., Word Processing in Groups, ch. 9).
+
+Two braids are equal exactly when their forms are equal.  Since delta^2
+generates the center, they are equal modulo the center exactly when their
+forms have the same factors and powers of the same parity; that pair is the
+key compared by equals_mod_center.
 """
 
 from __future__ import annotations
@@ -51,9 +58,6 @@ class BraidWord:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def exponent_sum(self) -> int:
-        return sum(1 if t > 0 else -1 for t in self.letters)
 
 
 def generator(strands: int, index: int) -> BraidWord:
@@ -96,9 +100,6 @@ class CanonicalForm:
     def is_central(self) -> bool:
         return not self.factors and self.power % 2 == 0
 
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
     def to_word(self) -> BraidWord:
         """Re-expand the form as a braid word."""
         n = self.strands
@@ -114,63 +115,104 @@ class CanonicalForm:
         return " · ".join(parts)
 
 
-def _normalise_factors(n: int, factors: list[tuple[int, ...]]) -> tuple[int, list]:
-    """Left-weighting sweeps; returns (leading delta count, factor list).
+def _left_weight(x, y):
+    """Left-weight the pair of permutation braids (x, y); None if it already is.
 
-    Each transfer moves one starting letter of a factor onto the end of its
-    left neighbour, so weight migrates leftward until every adjacent pair is
-    left weighted.  Identity factors are dropped between sweeps and the deltas
-    that pile up at the front are stripped into the power.
+    The largest prefix of y that keeps x simple, the meet of x^-1 delta and
+    y, moves onto the end of x.  It is found one letter at a time: s_i can
+    move when it starts y and x s_i is still simple.  Multiplying x on the
+    right by s_i swaps entries i, i+1 of x, and taking s_i off the front of
+    y swaps entries i, i+1 of y^-1, so both are bubbled together.
+    """
+    n = len(x)
+    x = list(x)
+    yinv = list(perms.inverse(y))
+    moved = False
+    i = 1
+    while i < n:
+        if yinv[i - 1] > yinv[i] and x[i - 1] < x[i]:
+            x[i - 1], x[i] = x[i], x[i - 1]
+            yinv[i - 1], yinv[i] = yinv[i], yinv[i - 1]
+            moved = True
+            # Only the swapped entries changed, so every position below
+            # i - 1 is still blocked.
+            if i > 1:
+                i -= 1
+        else:
+            i += 1
+    if not moved:
+        return None
+    return tuple(x), perms.inverse(yinv)
+
+
+def _normalise_factors(n: int, factors: list[tuple[int, ...]]) -> tuple[int, list]:
+    """Left normal form of a product of simple factors.
+
+    Returns (leading delta count, remaining factors).  The factors are
+    appended one at a time; each append left-weights the pairs from the
+    right end leftward and stops at the first pair that does not change,
+    since everything to its left is already left weighted.  Only the newly
+    appended factor can be emptied, and deltas can only collect at the front.
     """
     ident = perms.identity(n)
     w0 = perms.reversal(n)
-    factors = [f for f in factors if f != ident]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            x, y = factors[i], factors[i + 1]
-            movable = perms.left_descents(y) - perms.right_descents(x)
-            while movable:
-                t = perms.transposition(n, min(movable))
-                x = perms.compose(x, t)
-                y = perms.compose(t, y)
-                changed = True
-                movable = perms.left_descents(y) - perms.right_descents(x)
-            factors[i], factors[i + 1] = x, y
-        if changed:
-            factors = [f for f in factors if f != ident]
+    out = []
+    for factor in factors:
+        if factor == ident:
+            continue
+        out.append(factor)
+        j = len(out) - 1
+        while j > 0:
+            step = _left_weight(out[j - 1], out[j])
+            if step is None:
+                break
+            out[j - 1], out[j] = step
+            if out[j] == ident:
+                del out[j]
+            j -= 1
     power = 0
-    while factors and factors[0] == w0:
-        factors.pop(0)
+    while power < len(out) and out[power] == w0:
         power += 1
-    return power, factors
+    return power, out[power:]
 
 
 def left_normal_form(word: BraidWord) -> CanonicalForm:
-    """The left normal form of a braid word."""
+    """The left normal form of a braid word.
+
+    >>> str(left_normal_form(BraidWord(3, (1, 2, 1, 2))))
+    'Δ^1 · [1 3 2]'
+    >>> left_normal_form(BraidWord(3, (1, -1))).is_trivial()
+    True
+    """
     n = word.strands
     w0 = perms.reversal(n)
+    # s_i is the factor t_i and s_i^-1 = delta^-1 (w0 t_i).  Pushing every
+    # delta^-1 to the front conjugates the factors it passes by w0, which
+    # sends t_i to t_{n-i} and w0 t_i to w0 t_{n-i}.
+    positive = {i: perms.transposition(n, i) for i in range(1, n)}
+    negative = {i: perms.compose(w0, t) for i, t in positive.items()}
     factors = []
-    delta_powers = []
-    for letter in word.letters:
-        t = perms.transposition(n, abs(letter))
-        if letter > 0:
-            factors.append(t)
-            delta_powers.append(0)
-        else:
-            # s_i^-1 = delta^-1 (w0 sigma_i), the complement being positive.
-            factors.append(perms.compose(w0, t))
-            delta_powers.append(-1)
-    # Push the delta powers to the front; delta^-1 P delta has permutation
-    # w0 p w0 and the conjugation has order two.
     total = 0
-    for i in range(len(factors) - 1, -1, -1):
-        if total % 2:
-            factors[i] = perms.compose(w0, perms.compose(factors[i], w0))
-        total += delta_powers[i]
+    for letter in reversed(word.letters):
+        i = abs(letter) if total % 2 == 0 else n - abs(letter)
+        if letter > 0:
+            factors.append(positive[i])
+        else:
+            factors.append(negative[i])
+            total -= 1
+    factors.reverse()
     extra, factors = _normalise_factors(n, factors)
     return CanonicalForm(n, total + extra, tuple(factors))
+
+
+def mod_center_key(word: BraidWord) -> tuple:
+    """The parity of the delta power and the factors of the normal form.
+
+    Two words on the same strands share this key exactly when they agree
+    modulo the center.
+    """
+    form = left_normal_form(word)
+    return form.power % 2, form.factors
 
 
 def equals(u: BraidWord, v: BraidWord) -> bool:
@@ -184,4 +226,4 @@ def equals_mod_center(u: BraidWord, v: BraidWord) -> bool:
     """Whether two words agree up to a power of the central full twist."""
     if u.strands != v.strands:
         raise ValueError("strand count mismatch")
-    return left_normal_form(u * v.inv()).is_central()
+    return mod_center_key(u) == mod_center_key(v)

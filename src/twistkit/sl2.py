@@ -203,6 +203,8 @@ def reduce_elliptic(m: Mat2) -> ReductionCertificate:
             break
         cur = step * cur * step.inv()
         conj = step * conj
+    if cur not in _REDUCED:
+        raise ValueError(f"reduction of {m} stopped at {cur}, outside the table")
     canonical, extra = _REDUCED[cur]
     return ReductionCertificate(m, canonical, extra * conj)
 
@@ -260,5 +262,6 @@ def word_from_matrix(m: Mat2) -> BraidWord:
     for index, exp in blocks:
         letters.extend([index if exp > 0 else -index] * abs(exp))
     word = BraidWord(3, tuple(letters))
-    assert evaluate_generator_word(word) == m
+    if evaluate_generator_word(word) != m:
+        raise ValueError(f"word {word.letters} does not evaluate to {m}")
     return word

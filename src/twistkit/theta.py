@@ -24,7 +24,14 @@ import itertools
 
 from . import sl2
 from . import symplectic
-from .braid import BraidWord, equals, equals_mod_center, half_twist_word, left_normal_form
+from .braid import (
+    BraidWord,
+    equals,
+    equals_mod_center,
+    half_twist_word,
+    left_normal_form,
+    mod_center_key,
+)
 
 ARTIFACT_VERSION = 1
 
@@ -259,10 +266,7 @@ def hyperelliptic_experiment(n: int) -> Report:
 # ------------------------------------------------------------- square roots
 
 def _pairwise_distinct_mod_center(words: list[BraidWord]) -> bool:
-    for u, v in itertools.combinations(words, 2):
-        if equals_mod_center(u, v):
-            return False
-    return True
+    return len({mod_center_key(w) for w in words}) == len(words)
 
 
 def square_root_family(m_max: int) -> Report:

@@ -2,12 +2,15 @@
 
 The permutation oracle recomputes word permutations pointwise; the free-group
 action (twistkit.artin) decides braid equality without touching the
-normal-form code path.
+normal-form code path; the sweep oracle (braid_oracle) is the original
+quadratic normal-form algorithm, compared factor for factor.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistkit import perms
 from twistkit.artin import artin_action
@@ -21,6 +24,7 @@ from twistkit.braid import (
     left_normal_form,
     permutation_of,
 )
+from braid_oracle import sweep_normal_form
 from wordgen import conjugate_square_word, equal_variant, random_word
 
 
@@ -140,6 +144,58 @@ def test_equals_agrees_with_action_oracle():
         v = equal_variant(rng, u)
         assert equals(u, v)
         assert artin_action(u) == artin_action(v)
+
+
+def test_equals_agrees_with_action_oracle_longer_words():
+    rng = random.Random(20261017)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        u = random_word(rng, n, 30)
+        v = random_word(rng, n, 30)
+        assert equals(u, v) == (artin_action(u) == artin_action(v))
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        u = random_word(rng, n, 24)
+        v = equal_variant(rng, u, moves=3)
+        assert equals(u, v)
+        assert artin_action(u) == artin_action(v)
+
+
+@st.composite
+def _words_with_central_splice(draw):
+    """Words on n <= 8 strands of up to 60 letters, some with delta^+-2 spliced in."""
+    n = draw(st.integers(2, 8))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    letters = draw(st.lists(letter, max_size=60))
+    exponent = draw(st.sampled_from((0, 2, -2)))
+    if exponent:
+        at = draw(st.integers(0, len(letters)))
+        letters[at:at] = (half_twist_word(n) ** exponent).letters
+    return BraidWord(n, tuple(letters))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_words_with_central_splice())
+def test_normal_form_matches_sweep_oracle(word):
+    assert left_normal_form(word) == sweep_normal_form(word)
+
+
+def test_keyed_mod_center_agrees_with_quotient():
+    rng = random.Random(97)
+    for k in range(300):
+        n = rng.randrange(2, 7)
+        u = random_word(rng, n, 16)
+        if k % 2:
+            # Half the pairs differ by a central power, spliced anywhere.
+            d2 = half_twist_word(n) ** rng.choice((2, -2, 4))
+            at = rng.randrange(len(u.letters) + 1)
+            v = equal_variant(
+                rng, BraidWord(n, u.letters[:at] + d2.letters + u.letters[at:]))
+        else:
+            v = random_word(rng, n, 16)
+        central = left_normal_form(u * v.inv()).is_central()
+        assert equals_mod_center(u, v) == central
+        assert central or k % 2 == 0
 
 
 def test_equals_requires_matching_strands():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,3 +185,10 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "Δ^1"
+
+
+def test_report_json_matches_golden_bytes(capsys):
+    golden = Path(__file__).parent / "golden" / "report-default.json"
+    code, out, _ = run(capsys, "report", "--format", "json")
+    assert code == 0
+    assert out.encode("utf-8") == golden.read_bytes()

@@ -10,6 +10,7 @@ from collections import deque
 
 import pytest
 
+from twistkit import sl2
 from twistkit.sl2 import (
     CANONICAL_ELLIPTIC,
     GEN_A,
@@ -204,6 +205,12 @@ def test_reduce_rejects_nonelliptic():
         reduce_elliptic(IDENTITY)
 
 
+def test_reduce_off_table_is_a_value_error(monkeypatch):
+    monkeypatch.setattr(sl2, "_REDUCED", {})
+    with pytest.raises(ValueError, match="outside the table"):
+        reduce_elliptic(QUARTER_TURN)
+
+
 def test_reduce_certificates_verify():
     # The certificate type itself checks C * source * C^-1 == canonical, so a
     # successful construction is the proof; spot check anyway.
@@ -249,6 +256,12 @@ def test_word_from_matrix_basics():
     assert word_from_matrix(IDENTITY).letters == ()
     for m in (MINUS_IDENTITY, QUARTER_TURN, GEN_A, GEN_B, SIXTH_TURN):
         assert evaluate_generator_word(word_from_matrix(m)) == m
+
+
+def test_word_from_matrix_checks_its_word(monkeypatch):
+    monkeypatch.setattr(sl2, "evaluate_generator_word", lambda word: IDENTITY)
+    with pytest.raises(ValueError, match="does not evaluate"):
+        word_from_matrix(QUARTER_TURN)
 
 
 def test_word_evaluation():
