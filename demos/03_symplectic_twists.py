@@ -2,14 +2,18 @@
 
 The surface carries k handles in each of n blocks, and the 2k+1 twist
 generators of a block act on H_1 by transvections along a chain of curves.
-All arithmetic is over the integers.
+All arithmetic is over the integers, and matrices are lists of rows.
 """
-
-import numpy as np
 
 from twistkit import braid, symplectic, words
 
-np.set_printoptions(linewidth=120)
+
+def show(matrix):
+    """Print a matrix one row per line, entries right-aligned."""
+    width = max(len(str(x)) for row in matrix for x in row)
+    for row in matrix:
+        print("[" + " ".join(str(x).rjust(width) for x in row) + "]")
+
 
 # One block, one handle: the action lands in SL(2, Z) and the two twists hit
 # the standard generators (inverted, since twists act by inverse transvections
@@ -18,7 +22,7 @@ model = symplectic.surface_model(1, 1)
 print("blocks=1 handles=1  genus", model.genus, " dim", model.dim)
 for i in (1, 2):
     print(f"f{i} ->")
-    print(symplectic.generator_image(model, i))
+    show(symplectic.generator_image(model, i))
 
 # Two blocks, one handle each: genus 2, and each generator acts on both
 # blocks at once with opposite handedness.
@@ -26,14 +30,14 @@ model = symplectic.surface_model(2, 1)
 print()
 print("blocks=2 handles=1  genus", model.genus, " dim", model.dim)
 print("f1 ->")
-print(symplectic.generator_image(model, 1))
+show(symplectic.generator_image(model, 1))
 
 # The squared chain word acts as -Id, the homology shadow of the
 # hyperelliptic involution.
 square = words.parse_word("(s1 s2 s3)^2", model.chain_length + 1)
 image = symplectic.evaluate_word(model, square)
 print("(f1 f2 f3)^2 ->")
-print(image)
+show(image)
 print("is -Id:", symplectic.is_hyperelliptic_image(model, image))
 
 # Every image preserves the intersection form.

@@ -9,16 +9,6 @@ right.
 from __future__ import annotations
 
 
-def is_permutation(p) -> bool:
-    """
-    >>> is_permutation((2, 3, 1))
-    True
-    >>> is_permutation((1, 1, 3))
-    False
-    """
-    return sorted(p) == list(range(1, len(p) + 1))
-
-
 def identity(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 

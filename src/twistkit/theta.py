@@ -178,12 +178,11 @@ def _status(ok: bool) -> str:
 
 
 def _matrix_witness(model: symplectic.SurfaceModel, m) -> str:
-    ident = symplectic.identity_matrix(model)
-    if symplectic.mats_equal(m, ident):
+    if symplectic.mats_equal(m, symplectic.identity_matrix(model)):
         return f"Id_{model.dim}"
-    if symplectic.mats_equal(m, -ident):
+    if symplectic.is_hyperelliptic_image(model, m):
         return f"-Id_{model.dim}"
-    return str(m.tolist())
+    return str(m)
 
 
 # ----------------------------------------------------------- relation checks
@@ -265,10 +264,6 @@ def hyperelliptic_experiment(n: int) -> Report:
 
 # ------------------------------------------------------------- square roots
 
-def _pairwise_distinct_mod_center(words: list[BraidWord]) -> bool:
-    return len({mod_center_key(w) for w in words}) == len(words)
-
-
 def square_root_family(m_max: int) -> Report:
     """Conjugates h_m = b^m (cab) b^-m, all square roots of the half twist.
 
@@ -282,26 +277,25 @@ def square_root_family(m_max: int) -> Report:
     cab = _w(4, 3, 1, 2)
     delta = half_twist_word(4)
     members = {m: b ** m * cab * b ** (-m) for m in range(-m_max, m_max + 1)}
+    inverses = {m: h.inv() for m, h in members.items()}
 
     checks = []
-    for m, h in members.items():
-        form = left_normal_form(h * h)
-        checks.append(
-            Check(f"square[{m}]", _status(equals(h * h, delta)),
-                  f"conjugator b^{m}; square has normal form {form}")
-        )
-    for m, h in members.items():
-        inv = h.inv()
-        form = left_normal_form(inv * inv)
-        checks.append(
-            Check(f"inverse-square[{m}]", _status(equals(inv * inv, delta.inv())),
-                  f"conjugator b^{m}; square has normal form {form}")
-        )
+    for label, family, target in [
+        ("square", members, delta),
+        ("inverse-square", inverses, delta.inv()),
+    ]:
+        target_form = left_normal_form(target)
+        for m, h in family.items():
+            form = left_normal_form(h * h)
+            checks.append(
+                Check(f"{label}[{m}]", _status(form == target_form),
+                      f"conjugator b^{m}; square has normal form {form}")
+            )
     for name, family in [
         ("pairwise-distinct", list(members.values())),
-        ("inverse-pairwise-distinct", [h.inv() for h in members.values()]),
+        ("inverse-pairwise-distinct", list(inverses.values())),
     ]:
-        distinct = _pairwise_distinct_mod_center(family)
+        distinct = len({mod_center_key(w) for w in family}) == len(family)
         witness = (
             f"{len(family)} distinct classes mod center"
             if distinct else "collision between family members"

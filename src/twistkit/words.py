@@ -5,7 +5,9 @@ Word grammar: whitespace-separated tokens `s<i>` (generator) and `S<i>`
 generators are written f_1, ..., f_m.  The one-letter aliases a, b, c
 (and A, B, C for inverses) stand for the first three generators and are
 enabled only on four strands.  A parenthesized group may carry an
-integer power, as in `(s1 s2)^-3`; a bare group means power one.
+integer power, as in `(s1 s2)^-3`; a bare group means power one.  Every
+group, and the whole word, may expand to at most MAX_WORD_LETTERS letters;
+the limit is checked before the letters are built.
 
 >>> parse_word("(a b c)^2", 4).letters
 (1, 2, 3, 1, 2, 3)
@@ -20,6 +22,8 @@ from .braid import BraidWord
 
 _ALIASES = {"a": 1, "b": 2, "c": 3, "A": -1, "B": -2, "C": -3}
 
+MAX_WORD_LETTERS = 10**6
+
 
 class WordSyntaxError(ValueError):
     """Malformed word text; column is 1-based."""
@@ -31,6 +35,13 @@ class WordSyntaxError(ValueError):
 
 def _invert(letters: list[int]) -> list[int]:
     return [-x for x in reversed(letters)]
+
+
+def _grow(letters: list[int], block: list[int], times: int, column: int):
+    """Append block times over, refusing to pass MAX_WORD_LETTERS."""
+    if len(letters) + len(block) * times > MAX_WORD_LETTERS:
+        raise WordSyntaxError(column, f"word expands past {MAX_WORD_LETTERS} letters")
+    letters.extend(block * times if block else ())
 
 
 def parse_word(text: str, strands: int) -> BraidWord:
@@ -62,13 +73,13 @@ def parse_word(text: str, strands: int) -> BraidWord:
             if not 1 <= index <= strands - 1:
                 raise WordSyntaxError(
                     col, f"generator index {index} out of range 1..{strands - 1}")
-            frames[-1][0].append(index if ch.islower() else -index)
+            _grow(frames[-1][0], [index if ch.islower() else -index], 1, col)
             pos = stop
         elif ch in _ALIASES:
             if strands != 4:
                 raise WordSyntaxError(
                     col, f"alias {ch!r} is only defined on 4 strands")
-            frames[-1][0].append(_ALIASES[ch])
+            _grow(frames[-1][0], [_ALIASES[ch]], 1, col)
             pos += 1
         elif ch == "(":
             frames.append(([], col))
@@ -79,6 +90,7 @@ def parse_word(text: str, strands: int) -> BraidWord:
             group, _ = frames.pop()
             pos += 1
             power = 1
+            caret = col
             if pos < end and text[pos] == "^":
                 caret = pos + 1
                 start = pos + 1
@@ -92,7 +104,7 @@ def parse_word(text: str, strands: int) -> BraidWord:
                 power = int(text[pos + 1:stop])
                 pos = stop
             block = group if power >= 0 else _invert(group)
-            frames[-1][0].extend(block * abs(power))
+            _grow(frames[-1][0], block, abs(power), caret)
         else:
             raise WordSyntaxError(col, f"unexpected character {ch!r}")
     if len(frames) > 1:

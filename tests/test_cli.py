@@ -43,6 +43,13 @@ def test_nf_usage_error(capsys):
     assert "column 1" in err
 
 
+def test_word_length_limit_is_a_usage_error(capsys):
+    # 2 * 1000**3 letters: refused at the second caret, before expansion
+    code, out, err = run(capsys, "nf", "--n", "3", "(((s1 S2)^1000)^1000)^1000")
+    assert code == 2 and out == ""
+    assert "column 16" in err and "1000000 letters" in err
+
+
 def test_eq(capsys):
     code, out, _ = run(capsys, "eq", "--n", "4", "s1 s2 s1", "s2 s1 s2")
     assert code == 0 and out == "equal\n"
@@ -185,6 +192,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "Δ^1"
+
+
+def test_cli_import_does_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, twistkit.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_report_json_matches_golden_bytes(capsys):

@@ -2,11 +2,11 @@
 
 import doctest
 
-from twistkit import artin, braid, perms, words
+from twistkit import artin, braid, perms, symplectic, words
 
 
 def test_doctests():
-    for module in (perms, artin, braid, words):
+    for module in (perms, artin, braid, symplectic, words):
         result = doctest.testmod(module, verbose=False)
         assert result.attempted > 0, module.__name__
         assert result.failed == 0, module.__name__

@@ -40,6 +40,21 @@ def test_parse_powers():
     assert nested == inner ** 2
 
 
+def test_word_length_limit():
+    limit = words.MAX_WORD_LETTERS
+    assert len(words.parse_word(f"(s1 S1)^{limit // 2}", 3)) == limit
+    # empty groups take any power
+    assert words.parse_word("()^99999999999999999999", 3) == BraidWord(3)
+    for text, column in [
+        (f"(s1 S1)^{limit // 2} s2", 16),  # one plain letter too many
+        (f"(s1 S1)^-{limit // 2 + 1}", 8),  # at the caret
+        (f"s2 ((s1 S1)^{limit // 2})", 19),  # at a bare ')'
+    ]:
+        with pytest.raises(words.WordSyntaxError) as info:
+            words.parse_word(text, 3)
+        assert info.value.column == column, text
+
+
 def test_error_columns_are_one_based():
     with pytest.raises(words.WordSyntaxError) as info:
         words.parse_word("s9", 4)
